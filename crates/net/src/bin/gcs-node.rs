@@ -178,11 +178,11 @@ fn main() {
         }
         reported_round = round.violations().len();
 
-        let view = node.views().last().map(|v| v.to_string()).unwrap_or_else(|| "<none>".into());
+        let view = node.views(0).last().map(|v| v.to_string()).unwrap_or_else(|| "<none>".into());
         println!(
             "gcs-node {me}: delivered {} | view {view} | sent {} recv {} dropped {} rejected {} | \
              b-checked {} d-checked {} violations {}",
-            node.delivered().len(),
+            node.delivered_count(0),
             node.transport().frames_sent(),
             node.transport().frames_received(),
             node.transport().frames_dropped(),

@@ -1,6 +1,9 @@
 //! A load-generating TCP client: submits values over the client protocol
-//! (`Hello{kind: Client}` + `Submit` frames), watches the `Deliver` push
-//! stream, and reports latency/throughput histograms.
+//! (`Hello{kind: Client}` + submit frames, tagged with the group id for
+//! any group but 0), watches the delivery push stream, and reports
+//! latency/throughput histograms. [`run_session`] is the one session
+//! loop; [`run_load`] plans `u64` values for it, and keyed generators
+//! (e.g. `gcs-shard`'s KV load) plan their own encoded commands.
 //!
 //! Two driving disciplines:
 //!
@@ -95,6 +98,31 @@ pub struct LoadConfig {
 /// matching `Deliver` frame back — i.e. full submit→total-order→deliver
 /// latency through the ring, as observed at that node.
 pub fn run_load(addr: SocketAddr, cfg: &LoadConfig) -> io::Result<LoadReport> {
+    let hi = cfg.value_base + cfg.warmup + cfg.ops;
+    let planned: Vec<Value> = (cfg.value_base..hi).map(Value::from_u64).collect();
+    run_session(addr, 0, &planned, cfg.warmup as usize, cfg.mode, cfg.idle_timeout)
+}
+
+/// Runs one load session for group `group` against the member at
+/// `addr`: submits the `planned` values in order — the first `warmup`
+/// of them as an untimed warm-up — and matches each against the node's
+/// delivery push stream by [`Value::fingerprint`], so planned values
+/// must have distinct fingerprints. Group 0 speaks the untagged client
+/// frames, every other group the tagged ones.
+///
+/// The warm-up drives the ring through its first rotations (view
+/// formation, the cold token's first launches) as a closed loop; its
+/// operations are excluded from the histogram and the elapsed time, so
+/// the ramp-up cannot masquerade as a genuine p99 tail. `idle_timeout`
+/// bounds how long either phase waits without a delivery.
+pub fn run_session(
+    addr: SocketAddr,
+    group: u32,
+    planned: &[Value],
+    warmup: usize,
+    mode: LoadMode,
+    idle_timeout: Duration,
+) -> io::Result<LoadReport> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
     write_frame(
@@ -102,12 +130,12 @@ pub fn run_load(addr: SocketAddr, cfg: &LoadConfig) -> io::Result<LoadReport> {
         &Frame::Hello { node: ProcId(u32::MAX), generation: 0, kind: HelloKind::Client },
     )?;
 
-    // Reader thread: forward delivered u64 values with their arrival
-    // instant; exits on EOF/error. Deliveries arrive in bursts (the node
-    // writes one vectored batch per flush), so the reader drains every
-    // frame already buffered and crosses the channel once per burst —
-    // one timestamp, one send, one receiver wakeup — instead of once
-    // per operation.
+    // Reader thread: forward the fingerprints of values delivered by our
+    // group with their arrival instant; exits on EOF/error. Deliveries
+    // arrive in bursts (the node writes one vectored batch per flush), so
+    // the reader drains every frame already buffered and crosses the
+    // channel once per burst — one timestamp, one send, one receiver
+    // wakeup — instead of once per operation.
     let (tx, rx) = mpsc::channel::<(Vec<u64>, Instant)>();
     let read_half = stream.try_clone()?;
     let reader = std::thread::spawn(move || {
@@ -117,18 +145,18 @@ pub fn run_load(addr: SocketAddr, cfg: &LoadConfig) -> io::Result<LoadReport> {
             match read_frame(&mut read_half) {
                 Ok(Some(f)) => {
                     match f {
-                        Frame::Deliver { a, .. } => {
-                            if let Some(x) = a.as_u64() {
-                                burst.push(x);
-                            }
+                        Frame::Deliver { a, .. } if group == 0 => burst.push(a.fingerprint()),
+                        Frame::DeliverBatch(batch) if group == 0 => {
+                            burst.extend(batch.iter().map(|(_, a)| a.fingerprint()));
                         }
-                        Frame::DeliverBatch(batch) => {
-                            burst.extend(batch.iter().filter_map(|(_, a)| a.as_u64()));
+                        Frame::DeliverGroup { group: g, batch } if g == group => {
+                            burst.extend(batch.iter().map(|(_, a)| a.fingerprint()));
                         }
-                        // Skipped frames (e.g. pushed `View` notifications)
-                        // must still flush a pending burst below, or
-                        // completions collected just before one strand
-                        // until the next delivery arrives.
+                        // Other groups' deliveries and pushed `View`
+                        // notifications are skipped — but they must still
+                        // flush a pending burst below, or completions
+                        // collected just before one strand until the next
+                        // delivery arrives.
                         _ => {}
                     }
                     if burst.is_empty() || buffer_has_frame(&read_half) {
@@ -143,204 +171,166 @@ pub fn run_load(addr: SocketAddr, cfg: &LoadConfig) -> io::Result<LoadReport> {
         }
     });
 
-    // Whether the reader's buffer already holds one complete frame (so
-    // draining it cannot block on the socket).
-    fn buffer_has_frame(r: &io::BufReader<TcpStream>) -> bool {
-        let buf = r.buffer();
-        let Some(hdr) = buf.get(..4) else { return false };
-        let Ok(hdr) = <[u8; 4]>::try_from(hdr) else { return false };
-        let len = u32::from_be_bytes(hdr) as usize;
-        buf.len() >= 4usize.saturating_add(len)
-    }
+    let mut s = Session {
+        stream,
+        fw: FrameWriter::new(),
+        rx,
+        group,
+        planned,
+        next: 0,
+        submitted: 0,
+        pending: BTreeMap::new(),
+        idle_timeout,
+        last_progress: Instant::now(),
+        finished_at: Instant::now(),
+    };
 
-    // Submits `count` fresh operations as one coalesced batch: every
-    // `Submit` frame is encoded into a reused buffer and the whole batch
-    // lands on the socket in a single vectored write.
-    fn submit_batch(
-        stream: &mut TcpStream,
-        fw: &mut FrameWriter,
-        pending: &mut BTreeMap<u64, Instant>,
-        next: &mut u64,
-        submitted: &mut u64,
-        count: u64,
-    ) -> io::Result<()> {
-        if count == 0 {
-            return Ok(());
-        }
-        fw.clear();
-        let now = Instant::now();
-        let mut batch = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            let x = *next;
-            *next += 1;
-            pending.insert(x, now);
-            *submitted += 1;
-            batch.push(Value::from_u64(x));
-        }
-        fw.push(&Frame::SubmitBatch(batch));
-        fw.write_to(stream)
-    }
-
-    let mut fw = FrameWriter::new();
-    let mut pending: BTreeMap<u64, Instant> = BTreeMap::new();
-    let mut next = cfg.value_base;
-    let mut submitted = 0u64;
-
-    // Warm-up phase: drive the ring through its first rotations before
-    // any sample is taken.
-    if cfg.warmup > 0 {
-        let warm_hi = cfg.value_base + cfg.warmup;
-        let window = match cfg.mode {
-            LoadMode::Closed { window } => window.max(1),
+    if warmup > 0 {
+        let window = match mode {
+            LoadMode::Closed { window } => window,
             LoadMode::Open { .. } => 32,
-        } as u64;
-        let count = window.min(warm_hi - next);
-        submit_batch(&mut stream, &mut fw, &mut pending, &mut next, &mut submitted, count)?;
-        let mut last_progress = Instant::now();
-        let mut done = 0u64;
-        while done < cfg.warmup {
-            match rx.recv_timeout(Duration::from_millis(50)) {
-                Ok((xs, _)) => {
-                    for x in xs {
-                        if pending.remove(&x).is_some() {
-                            done += 1;
-                        }
-                    }
-                    while let Ok((ys, _)) = rx.try_recv() {
-                        for y in ys {
-                            if pending.remove(&y).is_some() {
-                                done += 1;
-                            }
-                        }
-                    }
-                    last_progress = Instant::now();
-                    let room = window.saturating_sub(pending.len() as u64);
-                    let count = room.min(warm_hi.saturating_sub(next));
-                    submit_batch(
-                        &mut stream,
-                        &mut fw,
-                        &mut pending,
-                        &mut next,
-                        &mut submitted,
-                        count,
-                    )?;
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if last_progress.elapsed() > cfg.idle_timeout {
-                        break;
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            }
-        }
+        };
+        s.drive(LoadMode::Closed { window }, warmup.min(planned.len()), None)?;
         // Anything still outstanding belongs to the warm-up: forget it,
         // so a straggling delivery finds no pending entry and cannot
         // leak a cold-start latency into the timed histogram.
-        pending.clear();
-        submitted = 0;
+        s.pending.clear();
+        s.submitted = 0;
     }
 
-    let hi = cfg.value_base + cfg.warmup + cfg.ops;
     let latency: Histogram = Histogram::new();
     let started = Instant::now();
-    let mut last_progress = Instant::now();
-    let mut finished_at = started;
-
-    match cfg.mode {
-        LoadMode::Closed { window } => {
-            let window = window.max(1) as u64;
-            let count = window.min(hi.saturating_sub(next));
-            submit_batch(&mut stream, &mut fw, &mut pending, &mut next, &mut submitted, count)?;
-            while !pending.is_empty() {
-                match rx.recv_timeout(Duration::from_millis(50)) {
-                    Ok((xs, at)) => {
-                        for x in xs {
-                            if let Some(t0) = pending.remove(&x) {
-                                latency.record(at.duration_since(t0).as_micros() as u64);
-                                finished_at = at;
-                            }
-                        }
-                        // Batched tokens complete operations in bursts:
-                        // drain every completion already queued, then
-                        // refill the window with one batched write.
-                        while let Ok((ys, at2)) = rx.try_recv() {
-                            for y in ys {
-                                if let Some(t0) = pending.remove(&y) {
-                                    latency.record(at2.duration_since(t0).as_micros() as u64);
-                                    finished_at = at2;
-                                }
-                            }
-                        }
-                        last_progress = Instant::now();
-                        let room = window.saturating_sub(pending.len() as u64);
-                        let count = room.min(hi.saturating_sub(next));
-                        submit_batch(
-                            &mut stream,
-                            &mut fw,
-                            &mut pending,
-                            &mut next,
-                            &mut submitted,
-                            count,
-                        )?;
-                    }
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        if last_progress.elapsed() > cfg.idle_timeout {
-                            break;
-                        }
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                }
-            }
-        }
-        LoadMode::Open { rate } => {
-            let rate = rate.max(1);
-            let gap = Duration::from_nanos(1_000_000_000 / rate);
-            let mut due = Instant::now();
-            while next < hi || !pending.is_empty() {
-                // Everything that has come due since the last pass goes
-                // out as one batch — at high offered rates this is the
-                // difference between one syscall per op and one per tick.
-                let mut burst = 0u64;
-                while next + burst < hi && Instant::now() >= due {
-                    burst += 1;
-                    due += gap;
-                }
-                submit_batch(&mut stream, &mut fw, &mut pending, &mut next, &mut submitted, burst)?;
-                match rx.recv_timeout(Duration::from_millis(1)) {
-                    Ok((xs, at)) => {
-                        for x in xs {
-                            if let Some(t0) = pending.remove(&x) {
-                                latency.record(at.duration_since(t0).as_micros() as u64);
-                                finished_at = at;
-                            }
-                        }
-                        while let Ok((ys, at2)) = rx.try_recv() {
-                            for y in ys {
-                                if let Some(t0) = pending.remove(&y) {
-                                    latency.record(at2.duration_since(t0).as_micros() as u64);
-                                    finished_at = at2;
-                                }
-                            }
-                        }
-                        last_progress = Instant::now();
-                    }
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        if next >= hi && last_progress.elapsed() > cfg.idle_timeout {
-                            break;
-                        }
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                }
-            }
-        }
-    }
+    s.last_progress = started;
+    s.drive(mode, planned.len(), Some(&latency))?;
 
     let delivered = latency.count();
     let elapsed =
-        if delivered > 0 { finished_at.duration_since(started) } else { started.elapsed() };
-    let _ = stream.shutdown(Shutdown::Both);
+        if delivered > 0 { s.finished_at.duration_since(started) } else { started.elapsed() };
+    let _ = s.stream.shutdown(Shutdown::Both);
     let _ = reader.join();
-    Ok(LoadReport { submitted, delivered, elapsed, latency_us: latency })
+    Ok(LoadReport { submitted: s.submitted, delivered, elapsed, latency_us: latency })
+}
+
+/// Whether the reader's buffer already holds one complete frame (so
+/// draining it cannot block on the socket).
+fn buffer_has_frame(r: &io::BufReader<TcpStream>) -> bool {
+    let buf = r.buffer();
+    let Some(hdr) = buf.get(..4) else { return false };
+    let Ok(hdr) = <[u8; 4]>::try_from(hdr) else { return false };
+    let len = u32::from_be_bytes(hdr) as usize;
+    buf.len() >= 4usize.saturating_add(len)
+}
+
+/// The client side of one load session: the planned values, how far
+/// submission has got, and the operations still awaiting delivery.
+struct Session<'a> {
+    stream: TcpStream,
+    fw: FrameWriter,
+    rx: mpsc::Receiver<(Vec<u64>, Instant)>,
+    group: u32,
+    planned: &'a [Value],
+    next: usize,
+    submitted: u64,
+    /// Fingerprint → submit instant of every outstanding operation.
+    pending: BTreeMap<u64, Instant>,
+    idle_timeout: Duration,
+    last_progress: Instant,
+    finished_at: Instant,
+}
+
+impl Session<'_> {
+    /// Submits up to `count` further planned values, stopping at index
+    /// `hi`, as one coalesced batch: every frame is encoded into a
+    /// reused buffer and the whole batch lands on the socket in a single
+    /// vectored write.
+    fn submit(&mut self, count: usize, hi: usize) -> io::Result<()> {
+        let end = hi.min(self.next.saturating_add(count));
+        let Some(batch) = self.planned.get(self.next..end).filter(|b| !b.is_empty()) else {
+            return Ok(());
+        };
+        let now = Instant::now();
+        for v in batch {
+            self.pending.insert(v.fingerprint(), now);
+        }
+        self.next = end;
+        self.submitted += batch.len() as u64;
+        let batch = batch.to_vec();
+        let frame = if self.group == 0 {
+            Frame::SubmitBatch(batch)
+        } else {
+            Frame::SubmitGroup { group: self.group, batch }
+        };
+        self.fw.clear();
+        self.fw.push(&frame);
+        self.fw.write_to(&mut self.stream)
+    }
+
+    /// Waits up to `wait` for delivered fingerprints, then drains every
+    /// burst already queued: batched tokens complete operations in
+    /// bursts. Each outstanding operation among them completes, its
+    /// latency recorded into `latency` if given. Returns whether anything
+    /// arrived, or `None` once the reader has gone.
+    fn collect(&mut self, wait: Duration, latency: Option<&Histogram>) -> Option<bool> {
+        let mut burst = match self.rx.recv_timeout(wait) {
+            Ok(b) => Some(b),
+            Err(mpsc::RecvTimeoutError::Timeout) => return Some(false),
+            Err(mpsc::RecvTimeoutError::Disconnected) => return None,
+        };
+        while let Some((xs, at)) = burst {
+            for x in xs {
+                if let Some(t0) = self.pending.remove(&x) {
+                    if let Some(h) = latency {
+                        h.record(at.duration_since(t0).as_micros() as u64);
+                    }
+                    self.finished_at = at;
+                }
+            }
+            burst = self.rx.try_recv().ok();
+        }
+        self.last_progress = Instant::now();
+        Some(true)
+    }
+
+    /// Drives the plan up to index `hi`. Closed loop: keeps `window`
+    /// operations outstanding, refilling the window with one batched
+    /// write per burst of completions. Open loop: submits at `rate`
+    /// operations per second regardless of deliveries. Either way it
+    /// returns once every submitted operation is back, or once no
+    /// delivery arrived for the idle timeout while nothing more could be
+    /// submitted.
+    fn drive(&mut self, mode: LoadMode, hi: usize, latency: Option<&Histogram>) -> io::Result<()> {
+        let (window, gap, wait) = match mode {
+            LoadMode::Closed { window } => (window.max(1), None, Duration::from_millis(50)),
+            LoadMode::Open { rate } => {
+                let gap = Duration::from_nanos(1_000_000_000 / rate.max(1));
+                (usize::MAX, Some(gap), Duration::from_millis(1))
+            }
+        };
+        let mut due = Instant::now();
+        loop {
+            let mut count = window.saturating_sub(self.pending.len());
+            if let Some(gap) = gap {
+                // Everything that has come due since the last pass goes
+                // out as one batch — at high offered rates this is the
+                // difference between one syscall per op and one per tick.
+                count = 0;
+                while self.next + count < hi && Instant::now() >= due {
+                    count += 1;
+                    due += gap;
+                }
+            }
+            self.submit(count, hi)?;
+            if self.next >= hi && self.pending.is_empty() {
+                return Ok(());
+            }
+            match self.collect(wait, latency) {
+                Some(true) => {}
+                Some(false) if self.last_progress.elapsed() <= self.idle_timeout => {}
+                Some(false) if gap.is_some() && self.next < hi => {}
+                _ => return Ok(()),
+            }
+        }
+    }
 }
 
 #[cfg(test)]

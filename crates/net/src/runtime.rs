@@ -1,18 +1,19 @@
 //! The node runtime: hosts the same [`VsNode`]`<`[`TimedVsToTo`]`>` state
-//! machine as the simulator and the threaded runtime, with any
-//! [`Transport`] implementation as the event sink.
+//! machine as the simulator, with any [`Transport`] implementation as the
+//! event sink.
 //!
-//! This is the third event source for the one protocol implementation —
-//! the "mapping of the abstract algorithm to the target platform" the
-//! paper anticipates. The protocol-facing half lives in [`NodeCore`]: a
-//! plain state machine (flush effects, handle one [`Incoming`], fire due
-//! timers) with **no threads and no sockets**, so the deterministic
-//! simulation harness (`gcs-sim`) can drive the exact code the TCP
-//! deployment runs. [`NetNode`] wraps a `NodeCore` in a thread fed by a
-//! [`TcpTransport`] event channel. Emitted events are recorded with a
-//! (time, sequence) stamp from a [`Clock`] shared across a cluster, so
-//! per-node traces can be merged into one nondecreasing timed trace for
-//! the safety checkers.
+//! This is the deployable event source for the one protocol
+//! implementation — the "mapping of the abstract algorithm to the target
+//! platform" the paper anticipates. The protocol-facing half lives in
+//! [`NodeCore`]: a plain state machine (flush effects, handle one
+//! [`Incoming`], fire due timers) with **no threads and no sockets**, so
+//! the deterministic simulation harness (`gcs-sim`) can drive the exact
+//! code the TCP deployment runs. [`NetNode`] runs one `NodeCore` per
+//! hosted group, each on a thread fed by its route of one shared
+//! [`TcpTransport`]; a single-group node is the case of group 0 alone.
+//! Emitted events are recorded with a (time, sequence) stamp from a
+//! [`Clock`] shared across a cluster, so per-node traces can be merged
+//! into one nondecreasing timed trace for the safety checkers.
 //!
 //! Crash/recovery: [`NodeCore::stable_state`] snapshots the state assumed
 //! to survive on stable storage ([`StableState`]) and
@@ -20,10 +21,11 @@
 //! incarnation from it — no installed view, volatile token/buffers gone,
 //! but view-identifier watermarks, the message-id counter, and the
 //! `VStoTO` client layer intact, which is exactly what the VS/TO safety
-//! specs need across a restart.
+//! specs need across a restart. [`NetNode::crash`] snapshots every
+//! hosted group at once.
 
 use crate::transport::{
-    Incoming, LockExt, ShutdownReport, TcpTransport, Transport, TransportConfig,
+    GroupEndpoint, Incoming, LockExt, ShutdownReport, TcpTransport, Transport, TransportConfig,
 };
 use gcs_ioa::TimedTrace;
 use gcs_model::{Majority, ProcId, Time, Value, View};
@@ -34,7 +36,7 @@ use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError, Sender};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -513,23 +515,42 @@ pub fn run_core_loop(
     }
 }
 
-/// A running VS/TO node behind a TCP endpoint.
-pub struct NetNode {
-    id: ProcId,
-    transport: Arc<TcpTransport>,
+/// One group instance hosted by a [`NetNode`]: its event channel, its
+/// protocol thread, and shared handles onto what it has recorded so far.
+struct Hosted {
     events_tx: Sender<Incoming>,
-    clock: Arc<Clock>,
+    handle: Mutex<Option<JoinHandle<NodeCore>>>,
     recorded: Arc<Mutex<Vec<Recorded>>>,
     delivered: Arc<Mutex<Vec<(ProcId, Value)>>>,
     views: Arc<Mutex<Vec<View>>>,
-    handle: Mutex<Option<JoinHandle<NodeCore>>>,
-    final_core: Mutex<Option<NodeCore>>,
+}
+
+/// A running node behind one TCP endpoint, hosting one or more group
+/// instances.
+///
+/// Each hosted group runs the unchanged protocol event loop
+/// ([`run_core_loop`]) on its own thread, wired to the shared
+/// [`TcpTransport`] through a [`GroupEndpoint`] that tags outbound
+/// frames with the group id and through the transport's group route
+/// table for inbound ones. Peers therefore keep a single TCP connection
+/// per node pair no matter how many groups the two nodes co-host. Group
+/// 0 is wire-identical to the untagged protocol, so a node hosting only
+/// group 0 ([`NetNode::start`]) is the single-group deployment.
+pub struct NetNode {
+    transport: Arc<TcpTransport>,
+    groups: BTreeMap<u32, Hosted>,
+    /// Keeps the group-0 route receiver alive when this node does not
+    /// host group 0 (the transport pre-registers group 0 at start;
+    /// dropping the receiver would turn misrouted frames into reader
+    /// disconnects instead of harmless drops).
+    _park_rx: Option<Receiver<Incoming>>,
 }
 
 impl NetNode {
-    /// Boots node `id`: binds nothing itself — the caller provides the
-    /// already-bound `listener` (so ephemeral ports can be collected
-    /// before any node starts) and the full peer address map.
+    /// Boots node `id` hosting group 0 alone: binds nothing itself — the
+    /// caller provides the already-bound `listener` (so ephemeral ports
+    /// can be collected before any node starts) and the full peer
+    /// address map.
     pub fn start(
         id: ProcId,
         proto: ProtoConfig,
@@ -555,10 +576,10 @@ impl NetNode {
         obs: Obs,
     ) -> io::Result<NetNode> {
         let core = NodeCore::new(id, proto, clock.clone(), &obs);
-        NetNode::launch(core, listener, peers, transport_cfg, clock, obs)
+        NetNode::start_groups(id, listener, peers, transport_cfg, clock, obs, vec![(0, core)])
     }
 
-    /// Boots a *recovered* incarnation of node `id` from the
+    /// Boots a *recovered* single-group incarnation of node `id` from the
     /// [`StableState`] its previous incarnation persisted. Pass a
     /// `transport_cfg` whose `generation_base` exceeds every generation
     /// the old incarnation used (e.g. `incarnation << 32`), or peers will
@@ -575,53 +596,49 @@ impl NetNode {
         stable: StableState<TimedVsToTo>,
     ) -> io::Result<NetNode> {
         let core = NodeCore::recover(id, proto, clock.clone(), &obs, stable);
-        NetNode::launch(core, listener, peers, transport_cfg, clock, obs)
+        NetNode::start_groups(id, listener, peers, transport_cfg, clock, obs, vec![(0, core)])
     }
 
-    fn launch(
-        core: NodeCore,
+    /// Boots node `id` hosting one group instance per `(group id, core)`
+    /// pair. The transport records into `net_obs`; each core records
+    /// into the sink it was built with, so the b/d monitors can watch
+    /// one group's event stream rather than an interleaving of
+    /// independent rings.
+    pub fn start_groups(
+        id: ProcId,
         listener: TcpListener,
         peers: &BTreeMap<ProcId, SocketAddr>,
         transport_cfg: TransportConfig,
         clock: Arc<Clock>,
-        obs: Obs,
+        net_obs: Obs,
+        cores: Vec<(u32, NodeCore)>,
     ) -> io::Result<NetNode> {
-        let id = core.id();
-        let (events_tx, events_rx) = mpsc::channel::<Incoming>();
-        let transport = TcpTransport::start_with_obs(
-            id,
-            listener,
-            peers,
-            transport_cfg,
-            events_tx.clone(),
-            obs.clone(),
-        )?;
-        let recorded = core.recorded_handle();
-        let delivered = core.delivered_handle();
-        let views = core.views_handle();
-
-        let handle = {
-            let transport = transport.clone();
-            let clock = clock.clone();
-            std::thread::spawn(move || run_core_loop(core, events_rx, &*transport, &clock))
-        };
-
-        Ok(NetNode {
-            id,
-            transport,
-            events_tx,
-            clock,
-            recorded,
-            delivered,
-            views,
-            handle: Mutex::new(Some(handle)),
-            final_core: Mutex::new(None),
-        })
-    }
-
-    /// This node's identifier.
-    pub fn id(&self) -> ProcId {
-        self.id
+        let (tx0, rx0) = mpsc::channel::<Incoming>();
+        let transport =
+            TcpTransport::start_with_obs(id, listener, peers, transport_cfg, tx0.clone(), net_obs)?;
+        let mut rx0 = Some(rx0);
+        let mut groups = BTreeMap::new();
+        for (g, core) in cores {
+            // Group 0 rides the route the transport pre-registered at
+            // start; local submissions reuse the same channel.
+            let route = if g == 0 { rx0.take().map(|rx| (tx0.clone(), rx)) } else { None };
+            let (events_tx, events_rx) = route.unwrap_or_else(|| {
+                let (tx, rx) = mpsc::channel::<Incoming>();
+                transport.register_group(g, tx.clone());
+                (tx, rx)
+            });
+            let recorded = core.recorded_handle();
+            let delivered = core.delivered_handle();
+            let views = core.views_handle();
+            let endpoint = GroupEndpoint::new(g, transport.clone());
+            let loop_clock = clock.clone();
+            let handle =
+                std::thread::spawn(move || run_core_loop(core, events_rx, &endpoint, &loop_clock));
+            let hosted =
+                Hosted { events_tx, handle: Mutex::new(Some(handle)), recorded, delivered, views };
+            groups.insert(g, hosted);
+        }
+        Ok(NetNode { transport, groups, _park_rx: rx0 })
     }
 
     /// The transport endpoint (for severing links, counters, the bound
@@ -630,69 +647,67 @@ impl NetNode {
         &self.transport
     }
 
-    /// The shared clock.
-    pub fn clock(&self) -> &Arc<Clock> {
-        &self.clock
+    /// The group ids this node hosts.
+    pub fn hosted_groups(&self) -> Vec<u32> {
+        self.groups.keys().copied().collect()
     }
 
-    /// Submits a client value locally (same path a TCP client's `Submit`
-    /// frame takes).
-    pub fn submit(&self, a: Value) {
-        let _ = self.events_tx.send(Incoming::Submit { batch: vec![a] });
+    /// Submits a client value into hosted group `g` (same path a TCP
+    /// client's submit frame takes). Returns whether `g` is hosted here
+    /// and its loop is still running.
+    pub fn submit(&self, g: u32, a: Value) -> bool {
+        self.groups
+            .get(&g)
+            .is_some_and(|h| h.events_tx.send(Incoming::Submit { batch: vec![a] }).is_ok())
     }
 
-    /// What this node has delivered to its client so far.
-    pub fn delivered(&self) -> Vec<(ProcId, Value)> {
-        self.delivered.lock_clean().clone()
+    /// What hosted group `g` has delivered to its client so far.
+    pub fn delivered(&self, g: u32) -> Vec<(ProcId, Value)> {
+        self.groups.get(&g).map_or_else(Vec::new, |h| h.delivered.lock_clean().clone())
     }
 
-    /// How many values this node has delivered so far. Cheap (no clone),
+    /// How many values group `g` has delivered so far. Cheap (no clone),
     /// for progress polling against a live high-throughput node.
-    pub fn delivered_count(&self) -> usize {
-        self.delivered.lock_clean().len()
+    pub fn delivered_count(&self, g: u32) -> usize {
+        self.groups.get(&g).map_or(0, |h| h.delivered.lock_clean().len())
     }
 
-    /// Every view this node has installed, in order.
-    pub fn views(&self) -> Vec<View> {
-        self.views.lock_clean().clone()
+    /// Every view hosted group `g` has installed, in order.
+    pub fn views(&self, g: u32) -> Vec<View> {
+        self.groups.get(&g).map_or_else(Vec::new, |h| h.views.lock_clean().clone())
     }
 
-    /// A snapshot of this node's recorded (stamped) trace events.
-    pub fn recorded(&self) -> Vec<Recorded> {
-        self.recorded.lock_clean().clone()
+    /// A snapshot of group `g`'s recorded (stamped) trace events.
+    pub fn recorded(&self, g: u32) -> Vec<Recorded> {
+        self.groups.get(&g).map_or_else(Vec::new, |h| h.recorded.lock_clean().clone())
     }
 
-    /// Stops the node loop and the transport; returns the final recording.
-    pub fn stop(&self) -> Vec<Recorded> {
-        self.stop_report().0
-    }
-
-    /// Like [`NetNode::stop`], but also reports whether every transport
-    /// thread was joined within the shutdown deadline.
-    pub fn stop_report(&self) -> (Vec<Recorded>, ShutdownReport) {
-        let _ = self.events_tx.send(Incoming::Stop);
-        if let Some(h) = self.handle.lock_clean().take() {
-            if let Ok(core) = h.join() {
-                *self.final_core.lock_clean() = Some(core);
-            }
-        }
-        let report = self.transport.stop();
-        (self.recorded.lock_clean().clone(), report)
+    /// Stops every group loop and the transport, and reports whether
+    /// every transport thread was joined within the shutdown deadline.
+    /// Deliveries, views and recordings stay readable afterwards.
+    pub fn stop(&self) -> ShutdownReport {
+        self.halt().1
     }
 
     /// Models a crash: stops this incarnation (volatile state — installed
-    /// view, token, buffers — is discarded with it) and returns the
-    /// [`StableState`] snapshot a restart recovers from, plus the final
-    /// recording. Restart with [`NetNode::start_recovered`].
-    pub fn crash(&self) -> (StableState<TimedVsToTo>, Vec<Recorded>) {
-        let (recorded, _) = self.stop_report();
-        let stable = self
-            .final_core
-            .lock_clean()
-            .take()
-            // gcs-lint: allow(panic_path, reason = "harness crash API with a documented contract: stop_report() stores the core before returning, so absence means the node loop itself panicked — surface that loudly in the test")
-            .expect("node loop exited cleanly")
-            .stable_state();
-        (stable, recorded)
+    /// views, tokens, buffers — is discarded with it) and returns, per
+    /// hosted group, the [`StableState`] snapshot a restart recovers
+    /// from. A group whose loop panicked has no snapshot.
+    pub fn crash(&self) -> BTreeMap<u32, StableState<TimedVsToTo>> {
+        self.halt().0.into_iter().map(|(g, core)| (g, core.stable_state())).collect()
+    }
+
+    /// Stops every group loop, then the transport; returns the cores of
+    /// the loops that exited cleanly (a second call finds none).
+    fn halt(&self) -> (Vec<(u32, NodeCore)>, ShutdownReport) {
+        for h in self.groups.values() {
+            let _ = h.events_tx.send(Incoming::Stop);
+        }
+        let cores = self
+            .groups
+            .iter()
+            .filter_map(|(&g, h)| Some((g, h.handle.lock_clean().take()?.join().ok()?)))
+            .collect();
+        (cores, self.transport.stop())
     }
 }

@@ -25,6 +25,10 @@
 //! recorded trace, and the per-key linearizability checker over each
 //! group's per-member delivered KV command streams. A fast run that
 //! breaks any of them exits nonzero — it is a bug, not a result.
+//!
+//! A single group is the `G = 1` case: `--groups 1 --members 5` drives
+//! one 5-member ring through the same load loop and the same checks
+//! (the partition phase needs two groups and is skipped).
 
 use gcs_apps::check_per_key_linearizable;
 use gcs_core::cause::check_trace;
@@ -32,7 +36,7 @@ use gcs_core::to_trace::check_to_trace;
 use gcs_model::{ProcId, Value};
 use gcs_net::{LoadMode, LoadReport};
 use gcs_obs::{BoundParams, StabilizationMonitor, TokenRoundMonitor};
-use gcs_shard::{run_shard_load, ShardCluster, ShardClusterConfig, ShardLoadConfig};
+use gcs_shard::{run_shard_load, ShardCluster, ShardClusterConfig, ShardLoadConfig, ShardMap};
 use gcs_vsimpl::convert::{to_obs, vs_actions};
 use std::process::exit;
 use std::time::{Duration, Instant};
@@ -168,12 +172,15 @@ fn load_cfg(a: &Args, g: u32, ops: u64, warmup: u64, seed_base: u64) -> ShardLoa
 }
 
 /// Runs one keyed generator per group concurrently; returns the
-/// per-group reports in group order (exiting on any I/O failure).
+/// per-group reports in group order (exiting on any I/O failure) and
+/// sets `failed` if any operation `phase` submitted never came back.
 fn run_wave(
     cluster: &ShardCluster,
     jobs: Vec<(u32, ProcId, ShardLoadConfig)>,
+    phase: &str,
+    failed: &mut bool,
 ) -> Vec<(u32, LoadReport)> {
-    let map = cluster.config().shard_map();
+    let map = ShardMap::new(cluster.config().groups.clone());
     let mut out = Vec::new();
     std::thread::scope(|s| {
         let mut handles = Vec::new();
@@ -199,6 +206,14 @@ fn run_wave(
         }
     });
     out.sort_by_key(|(g, _)| *g);
+    for (g, r) in out.iter().filter(|(_, r)| r.delivered < r.submitted) {
+        let lost = r.submitted - r.delivered;
+        eprintln!(
+            "gcs-shard-bench: FAIL: group {g}{phase}: {lost} of {} ops never delivered",
+            r.submitted
+        );
+        *failed = true;
+    }
     out
 }
 
@@ -277,19 +292,8 @@ fn main() {
             (g, entry(&cluster, g), load_cfg(&a, g, a.ops, a.warmup, seed_base))
         })
         .collect();
-    let reports = run_wave(&cluster, jobs);
-
     let mut failed = false;
-    for (g, r) in &reports {
-        if r.delivered < r.submitted {
-            eprintln!(
-                "gcs-shard-bench: FAIL: group {g}: {} of {} operations never delivered",
-                r.submitted - r.delivered,
-                r.submitted
-            );
-            failed = true;
-        }
-    }
+    let reports = run_wave(&cluster, jobs, "", &mut failed);
     let aggregate: f64 = reports.iter().map(|(_, r)| r.throughput_ops()).sum();
 
     // Every member of every group must converge on the full op count
@@ -351,17 +355,7 @@ fn main() {
         let other = a.groups - 1;
         let mut jobs = vec![(0u32, p1, load_cfg(&a, 0, part_ops, 0, 700_000_000))];
         jobs.push((other, entry(&cluster, other), load_cfg(&a, other, part_ops, 0, 800_000_000)));
-        let wave = run_wave(&cluster, jobs);
-        for (g, r) in &wave {
-            if r.delivered < r.submitted {
-                eprintln!(
-                    "gcs-shard-bench: FAIL: group {g} under partition: {} of {} ops never delivered",
-                    r.submitted - r.delivered,
-                    r.submitted
-                );
-                failed = true;
-            }
-        }
+        let wave = run_wave(&cluster, jobs, " under partition", &mut failed);
         let psub: u64 = wave.iter().map(|(_, r)| r.submitted).sum();
         let pdel: u64 = wave.iter().map(|(_, r)| r.delivered).sum();
         partition_stats = Some((psub, pdel));

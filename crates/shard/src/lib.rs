@@ -19,32 +19,32 @@
 //! - [`router`] — [`RouterCore`]: the client-side routing policy
 //!   (preferred member per group, down-set, cyclic retry on stale maps,
 //!   redirect on view change) as a pure state machine.
-//! - [`node`] — [`ShardNode`]: several [`gcs_net::NodeCore`] group
-//!   instances behind **one** TCP transport, demultiplexed by the group
-//!   tag in the wire codec.
-//! - [`cluster`] — [`ShardCluster`]: the loopback harness booting `n`
-//!   nodes hosting overlapping groups, with per-group observability and
-//!   group-aware fault injection.
-//! - [`load`] — [`run_shard_load`]: a keyed open/closed-loop load
-//!   generator submitting KV commands (`gcs_apps::KvCmd`) to their
-//!   owning group over the tagged client protocol.
+//! - [`load`] — [`run_shard_load`]: keyed load planning, submitting KV
+//!   commands (`gcs_apps::KvCmd`) whose keys hash to one group through
+//!   `gcs-net`'s client session loop.
 //!
-//! The `gcs-shard-bench` binary drives a 5-node, 4-group loopback
-//! deployment through load and a one-group partition/merge, gates on
-//! aggregate throughput, and feeds every group's trace through the VS/TO
-//! checkers, the b/d monitors, and the per-key linearizability checker.
+//! The runtime is not here: a node hosting several groups behind one
+//! TCP transport is [`gcs_net::NetNode`], and the loopback harness is
+//! `gcs-net`'s multi-group cluster, re-exported as [`ShardCluster`] and
+//! [`ShardClusterConfig`]. A single group is the `G = 1` case of both.
+//!
+//! The `gcs-shard-bench` binary drives a loopback deployment of `G`
+//! groups through keyed load and (for `G ≥ 2`) a one-group
+//! partition/merge, gates on aggregate throughput, and feeds every
+//! group's trace through the VS/TO checkers, the b/d monitors, and the
+//! per-key linearizability checker. With `--groups 1 --members 5` it is
+//! the single-group throughput gate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cluster;
 pub mod load;
 pub mod map;
-pub mod node;
 pub mod router;
 
-pub use cluster::{ShardCluster, ShardClusterConfig};
+pub use gcs_net::cluster::{
+    GroupCluster as ShardCluster, GroupClusterConfig as ShardClusterConfig,
+};
 pub use load::{run_shard_load, ShardLoadConfig};
 pub use map::ShardMap;
-pub use node::ShardNode;
 pub use router::RouterCore;

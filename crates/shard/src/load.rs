@@ -1,25 +1,18 @@
-//! A keyed load-generating client for one group of a sharded
-//! deployment: submits encoded [`KvCmd`]s whose keys hash to the target
-//! group, tagged [`Frame::SubmitGroup`], and matches them against the
-//! [`Frame::DeliverGroup`] push stream.
-//!
-//! The untagged single-group generator (`gcs_net::run_load`) matches
-//! deliveries by their `u64` payload; KV commands are structured values,
-//! so this one matches by [`Value::fingerprint`] — the same collision-free
-//! identity the runtime stamps into its trace events. One generator
-//! instance drives one group; the benchmark runs one per group
-//! concurrently and sums the throughputs.
+//! Keyed load planning for one group of a sharded deployment: the
+//! commands a generator submits are encoded [`KvCmd`]s whose keys hash to
+//! the target group. The session itself — the reader thread, warm-up,
+//! closed and open loops, matching deliveries by [`Value::fingerprint`]
+//! — is `gcs-net`'s [`run_session`], the same loop the single-group
+//! generator runs. One generator instance drives one group; the
+//! benchmark runs one per group concurrently and sums the throughputs.
 
 use crate::map::ShardMap;
 use gcs_apps::KvCmd;
-use gcs_model::ProcId;
-use gcs_net::codec::{read_frame, write_frame, Frame, FrameWriter, HelloKind};
-use gcs_net::{Histogram, LoadMode, LoadReport};
-use std::collections::BTreeMap;
+use gcs_model::Value;
+use gcs_net::{run_session, LoadMode, LoadReport};
 use std::io;
-use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::sync::mpsc;
-use std::time::{Duration, Instant};
+use std::net::SocketAddr;
+use std::time::Duration;
 
 /// Keyed load parameters for one group.
 #[derive(Clone, Debug)]
@@ -69,254 +62,15 @@ pub fn run_shard_load(
     map: &ShardMap,
     cfg: &ShardLoadConfig,
 ) -> io::Result<LoadReport> {
-    let seeds = plan_seeds(map, cfg);
-    let group = cfg.group;
-
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    write_frame(
-        &mut stream,
-        &Frame::Hello { node: ProcId(u32::MAX), generation: 0, kind: HelloKind::Client },
-    )?;
-
-    // Reader thread: forward the fingerprints of values delivered by our
-    // group, one channel send per burst. View pushes and other groups'
-    // deliveries are skipped, not errors — the node multiplexes every
-    // subscription onto this socket.
-    let (tx, rx) = mpsc::channel::<(Vec<u64>, Instant)>();
-    let read_half = stream.try_clone()?;
-    let reader = std::thread::spawn(move || {
-        let mut read_half = io::BufReader::with_capacity(256 * 1024, read_half);
-        let mut burst: Vec<u64> = Vec::new();
-        loop {
-            match read_frame(&mut read_half) {
-                Ok(Some(f)) => {
-                    match f {
-                        Frame::Deliver { a, .. } if group == 0 => burst.push(a.fingerprint()),
-                        Frame::DeliverBatch(batch) if group == 0 => {
-                            burst.extend(batch.iter().map(|(_, a)| a.fingerprint()));
-                        }
-                        Frame::DeliverGroup { group: g, batch } if g == group => {
-                            burst.extend(batch.iter().map(|(_, a)| a.fingerprint()));
-                        }
-                        // Other groups' deliveries and view pushes are
-                        // skipped — but they must still flush a pending
-                        // burst below, or completions collected before a
-                        // foreign frame strand until the next read.
-                        _ => {}
-                    }
-                    if burst.is_empty() || buffer_has_frame(&read_half) {
-                        continue;
-                    }
-                    if tx.send((std::mem::take(&mut burst), Instant::now())).is_err() {
-                        return;
-                    }
-                }
-                Ok(None) | Err(_) => return,
-            }
-        }
-    });
-
-    // Whether the reader's buffer already holds one complete frame (so
-    // draining it cannot block on the socket).
-    fn buffer_has_frame(r: &io::BufReader<TcpStream>) -> bool {
-        let buf = r.buffer();
-        let Some(hdr) = buf.get(..4) else { return false };
-        let Ok(hdr) = <[u8; 4]>::try_from(hdr) else { return false };
-        let len = u32::from_be_bytes(hdr) as usize;
-        buf.len() >= 4usize.saturating_add(len)
-    }
-
-    // Submits the next `count` planned commands as one coalesced tagged
-    // batch.
-    struct Submitter<'a> {
-        seeds: &'a [u64],
-        keys: u64,
-        group: u32,
-        next: usize,
-        submitted: u64,
-    }
-    impl Submitter<'_> {
-        fn submit_batch(
-            &mut self,
-            stream: &mut TcpStream,
-            fw: &mut FrameWriter,
-            pending: &mut BTreeMap<u64, Instant>,
-            count: u64,
-        ) -> io::Result<()> {
-            if count == 0 {
-                return Ok(());
-            }
-            fw.clear();
-            let now = Instant::now();
-            let mut batch = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                let Some(&seed) = self.seeds.get(self.next) else { break };
-                self.next += 1;
-                self.submitted += 1;
-                let v = KvCmd::from_seed(seed, self.keys).encode();
-                pending.insert(v.fingerprint(), now);
-                batch.push(v);
-            }
-            if batch.is_empty() {
-                return Ok(());
-            }
-            let frame = if self.group == 0 {
-                Frame::SubmitBatch(batch)
-            } else {
-                Frame::SubmitGroup { group: self.group, batch }
-            };
-            fw.push(&frame);
-            fw.write_to(stream)
-        }
-        fn remaining_until(&self, hi: usize) -> u64 {
-            hi.saturating_sub(self.next) as u64
-        }
-    }
-
-    let mut fw = FrameWriter::new();
-    let mut pending: BTreeMap<u64, Instant> = BTreeMap::new();
-    let mut sub = Submitter { seeds: &seeds, keys: cfg.keys, group, next: 0, submitted: 0 };
-
-    // Warm-up phase: drive the group's ring through its first rotations
-    // before any sample is taken.
-    if cfg.warmup > 0 {
-        let warm_hi = cfg.warmup as usize;
-        let window = match cfg.mode {
-            LoadMode::Closed { window } => window.max(1),
-            LoadMode::Open { .. } => 32,
-        } as u64;
-        let count = window.min(sub.remaining_until(warm_hi));
-        sub.submit_batch(&mut stream, &mut fw, &mut pending, count)?;
-        let mut last_progress = Instant::now();
-        let mut done = 0u64;
-        while done < cfg.warmup {
-            match rx.recv_timeout(Duration::from_millis(50)) {
-                Ok((xs, _)) => {
-                    for x in xs {
-                        if pending.remove(&x).is_some() {
-                            done += 1;
-                        }
-                    }
-                    while let Ok((ys, _)) = rx.try_recv() {
-                        for y in ys {
-                            if pending.remove(&y).is_some() {
-                                done += 1;
-                            }
-                        }
-                    }
-                    last_progress = Instant::now();
-                    let room = window.saturating_sub(pending.len() as u64);
-                    let count = room.min(sub.remaining_until(warm_hi));
-                    sub.submit_batch(&mut stream, &mut fw, &mut pending, count)?;
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if last_progress.elapsed() > cfg.idle_timeout {
-                        break;
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        // Straggling warm-up deliveries must not leak cold-start
-        // latencies into the timed histogram.
-        pending.clear();
-        sub.submitted = 0;
-    }
-
-    let hi = seeds.len();
-    let latency: Histogram = Histogram::new();
-    let started = Instant::now();
-    let mut last_progress = Instant::now();
-    let mut finished_at = started;
-
-    match cfg.mode {
-        LoadMode::Closed { window } => {
-            let window = window.max(1) as u64;
-            let count = window.min(sub.remaining_until(hi));
-            sub.submit_batch(&mut stream, &mut fw, &mut pending, count)?;
-            while !pending.is_empty() {
-                match rx.recv_timeout(Duration::from_millis(50)) {
-                    Ok((xs, at)) => {
-                        for x in xs {
-                            if let Some(t0) = pending.remove(&x) {
-                                latency.record(at.duration_since(t0).as_micros() as u64);
-                                finished_at = at;
-                            }
-                        }
-                        while let Ok((ys, at2)) = rx.try_recv() {
-                            for y in ys {
-                                if let Some(t0) = pending.remove(&y) {
-                                    latency.record(at2.duration_since(t0).as_micros() as u64);
-                                    finished_at = at2;
-                                }
-                            }
-                        }
-                        last_progress = Instant::now();
-                        let room = window.saturating_sub(pending.len() as u64);
-                        let count = room.min(sub.remaining_until(hi));
-                        sub.submit_batch(&mut stream, &mut fw, &mut pending, count)?;
-                    }
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        if last_progress.elapsed() > cfg.idle_timeout {
-                            break;
-                        }
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                }
-            }
-        }
-        LoadMode::Open { rate } => {
-            let rate = rate.max(1);
-            let gap = Duration::from_nanos(1_000_000_000 / rate);
-            let mut due = Instant::now();
-            while sub.next < hi || !pending.is_empty() {
-                let mut burst = 0u64;
-                while (sub.next as u64 + burst) < hi as u64 && Instant::now() >= due {
-                    burst += 1;
-                    due += gap;
-                }
-                sub.submit_batch(&mut stream, &mut fw, &mut pending, burst)?;
-                match rx.recv_timeout(Duration::from_millis(1)) {
-                    Ok((xs, at)) => {
-                        for x in xs {
-                            if let Some(t0) = pending.remove(&x) {
-                                latency.record(at.duration_since(t0).as_micros() as u64);
-                                finished_at = at;
-                            }
-                        }
-                        while let Ok((ys, at2)) = rx.try_recv() {
-                            for y in ys {
-                                if let Some(t0) = pending.remove(&y) {
-                                    latency.record(at2.duration_since(t0).as_micros() as u64);
-                                    finished_at = at2;
-                                }
-                            }
-                        }
-                        last_progress = Instant::now();
-                    }
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        if sub.next >= hi && last_progress.elapsed() > cfg.idle_timeout {
-                            break;
-                        }
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                }
-            }
-        }
-    }
-
-    let delivered = latency.count();
-    let elapsed =
-        if delivered > 0 { finished_at.duration_since(started) } else { started.elapsed() };
-    let _ = stream.shutdown(Shutdown::Both);
-    let _ = reader.join();
-    Ok(LoadReport { submitted: sub.submitted, delivered, elapsed, latency_us: latency })
+    let planned: Vec<Value> =
+        plan_seeds(map, cfg).into_iter().map(|s| KvCmd::from_seed(s, cfg.keys).encode()).collect();
+    run_session(addr, cfg.group, &planned, cfg.warmup as usize, cfg.mode, cfg.idle_timeout)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gcs_model::ProcId;
     use std::collections::BTreeSet;
 
     fn ring_map() -> ShardMap {

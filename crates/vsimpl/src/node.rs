@@ -21,7 +21,7 @@ pub enum MembershipMode {
 }
 
 /// Protocol parameters.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ProtoConfig {
     /// The ambient processor set *P*.
     pub procs: BTreeSet<ProcId>,
@@ -58,13 +58,20 @@ impl ProtoConfig {
     /// A sensible configuration for `n` processors all starting in the
     /// group, with the given δ: `π = 2nδ`, `μ = 4nδ`.
     pub fn standard(n: u32, delta: Time) -> Self {
-        let procs = ProcId::range(n);
+        ProtoConfig::for_members(ProcId::range(n), delta)
+    }
+
+    /// The standard configuration of one group: `members` is both the
+    /// ambient set *P* and *P₀*, and the timers scale with its size
+    /// `k`: `π = 2kδ`, `μ = 4kδ`.
+    pub fn for_members(members: BTreeSet<ProcId>, delta: Time) -> Self {
+        let k = members.len() as Time;
         ProtoConfig {
-            p0: procs.clone(),
-            procs,
+            p0: members.clone(),
+            procs: members,
             delta,
-            pi: 2 * n as Time * delta,
-            mu: 4 * n as Time * delta,
+            pi: 2 * k * delta,
+            mu: 4 * k * delta,
             mode: MembershipMode::ThreeRound,
             safe_delivery: false,
             pipeline: 4,

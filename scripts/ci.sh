@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# The full CI gate: release build (binaries included), the complete test
-# suite, the gcs-mc model-checking gate (bound-1 interleaving
+# The full CI gate: release build of every workspace binary, the
+# complete workspace test suite, the gcs-mc model-checking gate (bound-1 interleaving
 # exploration + seeded-bug detection), a deterministic-simulation smoke
 # sweep, and clippy with warnings promoted to errors. Everything runs
 # offline against the vendored dependency set; a clean exit here is the
-# merge bar.
+# merge bar. It needs no prior build: every binary it runs is built by
+# the build stage below, and the bench steps write their JSON under
+# target/ so a CI run never rewrites the committed BENCH_*.json.
 #
 # NIGHTLY=1 adds the long stages: a 200-seed simulation sweep, the
 # 200-seed hostile-network corpus (adaptive vs fixed detector gate),
@@ -17,15 +19,20 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo build --release"
-cargo build --release
+# The root package alone builds only `pgcs-sim`; the gates below run
+# `gcs-sim` and `gcs-shard-bench` from other workspace members.
+echo "==> cargo build --release --workspace --bins"
+cargo build --release --workspace --bins
 
 echo "==> gcs-lint --root . (project lints; see docs/LINTS.md)"
 cargo build --release -p gcs-lint --quiet
 ./target/release/gcs-lint --root .
 
-echo "==> cargo test -q"
-cargo test -q
+# The whole workspace, not just the root package: the net node/cluster
+# (loopback, crash/restart, backpressure, obs reconciliation), the
+# sharded cluster, sim determinism/hostile corpus, vsimpl and core.
+echo "==> cargo test --workspace -q"
+cargo test --workspace -q
 
 echo "==> cargo test -q -p gcs-lint (lint fixture self-tests + workspace-clean meta-test)"
 cargo test -q -p gcs-lint
@@ -61,14 +68,16 @@ echo "==> gcs-sim run --seeds 10 (smoke)"
 echo "==> gcs-sim hostile --seeds 10 (adaptive-vs-fixed corpus smoke)"
 ./target/release/gcs-sim hostile --seeds 10
 
-# Throughput smoke gate: the 5-node loopback cluster must clear a floor
-# of 25k ops/s (2x the pre-batching seed's 12.5k) with the VS/TO
-# checkers and b/d monitors on. The floor is deliberately far below the
-# bench's ~125k+ headline so scheduler noise on loaded CI boxes never
+# Single-group throughput gate: one group over all 5 nodes (the G=1
+# case of the sharded bench) must clear a floor of 25k ops/s (2x the
+# pre-batching seed's 12.5k) with the VS/TO checkers, b/d monitors and
+# per-key linearizability checker on. The floor is deliberately far
+# below the ~125k+ headline so scheduler noise on loaded CI boxes never
 # flakes it, while a regression that undoes the batched token path
 # (which would land back near 12k) still fails loudly.
-echo "==> gcs-loopback-bench --floor 25000 (throughput smoke gate)"
-./target/release/gcs-loopback-bench --ops 20000 --window 1024 --floor 25000
+echo "==> gcs-shard-bench --groups 1 --members 5 --floor 25000 (single-group throughput gate)"
+./target/release/gcs-shard-bench --groups 1 --members 5 --ops 20000 --window 1024 --warmup 2000 \
+  --delta-ms 20 --no-partition --floor 25000 --out target/BENCH_single.json
 
 # Sharded aggregate gate: 4 groups of 3 nodes over 5 hosts must clear
 # 2x the single-group floor in aggregate, with every group's VS/TO
@@ -76,7 +85,8 @@ echo "==> gcs-loopback-bench --floor 25000 (throughput smoke gate)"
 # through a one-group partition/merge. Measured headline is ~200k+
 # aggregate; 50k keeps the same scheduler-noise margin as the 25k gate.
 echo "==> gcs-shard-bench --floor 50000 (sharded aggregate gate)"
-./target/release/gcs-shard-bench --ops 10000 --window 256 --warmup 1000 --delta-ms 60 --floor 50000
+./target/release/gcs-shard-bench --ops 10000 --window 256 --warmup 1000 --delta-ms 60 --floor 50000 \
+  --out target/BENCH_shard.json
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
