@@ -8,10 +8,11 @@ use gcs_bench::{abstract_system, run_abstract, run_stack};
 use gcs_core::adversary::SystemAdversary;
 use gcs_core::derived::DerivedState;
 use gcs_core::invariants::all_invariants;
+use gcs_core::properties::ToObs;
 use gcs_core::system::SysState;
 use gcs_core::to_trace::check_to_trace;
 use gcs_ioa::Runner;
-use gcs_model::ProcId;
+use gcs_model::{ProcId, Value};
 use gcs_vsimpl::{Stack, StackConfig};
 
 fn bench_abstract_steps(c: &mut Criterion) {
@@ -85,6 +86,17 @@ fn bench_checkers(c: &mut Criterion) {
     let vs_actions = stack.vs_actions();
     c.bench_function("to_trace_checker", |b| {
         b.iter(|| criterion::black_box(check_to_trace(&to_events).brcvs))
+    });
+    // The fixture above is too small to show how the checker grows with
+    // the trace: 5 receivers each delivering 20k values from 5 senders.
+    let mut big = Vec::new();
+    for x in 0..20_000u64 {
+        let (src, a) = (ProcId((x % 5) as u32), Value::from_u64(x));
+        big.push(ToObs::Bcast { p: src, a: a.clone() });
+        big.extend((0..5).map(|q| ToObs::Brcv { src, dst: ProcId(q), a: a.clone() }));
+    }
+    c.bench_function("to_trace_checker_20k", |b| {
+        b.iter(|| criterion::black_box(check_to_trace(&big).brcvs))
     });
     c.bench_function("cause_checker", |b| {
         b.iter(|| {

@@ -2,17 +2,19 @@
 # The full CI gate: release build of every workspace binary, the
 # complete workspace test suite, the gcs-mc model-checking gate (bound-1 interleaving
 # exploration + seeded-bug detection), a deterministic-simulation smoke
-# sweep, and clippy with warnings promoted to errors. Everything runs
-# offline against the vendored dependency set; a clean exit here is the
-# merge bar. It needs no prior build: every binary it runs is built by
-# the build stage below, and the bench steps write their JSON under
-# target/ so a CI run never rewrites the committed BENCH_*.json.
+# sweep, and clippy over all targets with warnings promoted to errors.
+# Everything runs offline against the vendored dependency set; a clean
+# exit here is the merge bar. It needs no prior build: every binary it
+# runs is built by the build stage below, and the bench steps write
+# their JSON under target/ so a CI run never rewrites the committed
+# BENCH_*.json.
 #
 # NIGHTLY=1 adds the long stages: a 200-seed simulation sweep, the
 # 200-seed hostile-network corpus (adaptive vs fixed detector gate),
 # the injected-bug end-to-end check (the harness must catch and shrink
-# a deliberately broken token path), bound-2 model checking, and the
-# ThreadSanitizer pass (loudly skipped offline).
+# a deliberately broken token path), bound-2 model checking, the
+# ThreadSanitizer pass (loudly skipped offline), and a rerun of this
+# whole gate from a clean `git archive` tree of HEAD.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -88,8 +90,10 @@ echo "==> gcs-shard-bench --floor 50000 (sharded aggregate gate)"
 ./target/release/gcs-shard-bench --ops 10000 --window 256 --warmup 1000 --delta-ms 60 --floor 50000 \
   --out target/BENCH_shard.json
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+# Test, bench and example targets too, not just the library and binary
+# code: a warning in a test file fails the gate like any other.
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 if [[ "${NIGHTLY:-0}" == "1" ]]; then
   echo "==> [nightly] gcs-sim run --seeds 200"
@@ -135,6 +139,15 @@ if [[ "${NIGHTLY:-0}" == "1" ]]; then
     echo "!! only active validator. Run on a networked host to close this.    !!"
     echo "!!==================================================================!!"
   fi
+
+  # The whole gate again from a clean checkout of HEAD: a `git archive`
+  # tree with no target/ directory, so a warm build in this checkout can
+  # never hide a binary or test target the gate forgot to build.
+  echo "==> [nightly] scripts/ci.sh from a clean git archive of HEAD"
+  tree=$(mktemp -d)
+  trap 'rm -rf "$tree"' EXIT
+  git archive HEAD | tar -x -C "$tree"
+  (cd "$tree" && env -u NIGHTLY -u CARGO_TARGET_DIR bash scripts/ci.sh)
 fi
 
 echo "==> ci.sh: all green"
